@@ -133,7 +133,6 @@ import time
 
 from repro.core import GradientPruner
 from repro.nn import no_grad
-from repro.nn.engine import WORKERS_ENV, engine, reset_engine
 from repro.nn.functional import FAST_PATH_ENV
 from repro.nn.inference import compile_for_inference
 from repro.utils.timing import best_of_seconds
@@ -141,7 +140,6 @@ from repro.utils.timing import best_of_seconds
 from conftest import OUT_DIR
 
 _FASTPATH_RESULTS = {}
-_SCALING_SERIES = []
 
 
 def _host_info():
@@ -215,7 +213,7 @@ def test_fastpath_conv_forward():
     err = float(np.abs(fast_out - reference_out).max())
     entry = _record("conv_forward", fast_s, reference_s, err)
     np.testing.assert_allclose(fast_out, reference_out, rtol=1e-4, atol=1e-5)
-    assert entry["speedup"] > 0
+    assert entry["speedup"] >= 1.0, f"fast conv slower than reference: {entry}"
 
 
 def test_fastpath_folded_inference_batch64():
@@ -248,6 +246,7 @@ def test_fastpath_folded_inference_batch64():
     )
     np.testing.assert_allclose(fast_out, reference_out, rtol=1e-3, atol=1e-4)
     assert entry["num_folded"] == len(model.blocks)
+    assert entry["speedup"] >= 1.0, f"folded inference slower than reference: {entry}"
 
 
 def test_fastpath_full_pruning_round():
@@ -291,7 +290,7 @@ def test_fastpath_full_pruning_round():
     err = float(
         abs(fast_history.rounds[0].val_accuracy - reference_history.rounds[0].val_accuracy)
     )
-    _record(
+    entry = _record(
         "full_pruning_round",
         fast_s,
         reference_s,
@@ -309,58 +308,7 @@ def test_fastpath_full_pruning_round():
     assert fast_history.rounds[0].val_unlearning_loss == pytest.approx(
         reference_history.rounds[0].val_unlearning_loss, rel=1e-3
     )
-
-
-def test_engine_scaling_cores_vs_throughput():
-    """Cores-vs-throughput series: batch-64 folded inference at 1/2/4 workers.
-
-    Every worker setting is equivalence-checked against the reference path.
-    The ≥1.5x scaling assertion only applies on a multicore host — on 1-2
-    core boxes the series is still recorded (extra workers just document the
-    dispatch overhead) but the inline path is the expected winner there.
-    """
-    model = build_model("preact_resnet18")
-    model.eval()
-    x = Tensor(RNG.uniform(0, 1, (64, 3, 32, 32)).astype(np.float32))
-
-    with _reference_path():
-        with no_grad():
-            reference_out = model(x).data
-
-    compiled = compile_for_inference(model, Tensor(x.data[:1]))
-    saved = os.environ.get(WORKERS_ENV)
-    try:
-        for workers in (1, 2, 4):
-            os.environ[WORKERS_ENV] = str(workers)
-            reset_engine()  # fresh pool + telemetry per worker setting
-            seconds = _best_seconds(lambda: compiled(x), repeats=3, number=2)
-            out = compiled(x).data
-            np.testing.assert_allclose(out, reference_out, rtol=1e-3, atol=1e-4)
-            telemetry = dict(engine().last)
-            if workers == 1:
-                assert telemetry == {}, "workers=1 must take the inline path"
-            else:
-                assert telemetry.get("workers") == workers
-            _SCALING_SERIES.append(
-                {
-                    "workers": workers,
-                    "seconds": seconds,
-                    "images_per_sec": 64.0 / seconds,
-                    "max_abs_err": float(np.abs(out - reference_out).max()),
-                    "engine": telemetry,
-                }
-            )
-    finally:
-        if saved is None:
-            os.environ.pop(WORKERS_ENV, None)
-        else:
-            os.environ[WORKERS_ENV] = saved
-        reset_engine()
-
-    by_workers = {entry["workers"]: entry for entry in _SCALING_SERIES}
-    if (os.cpu_count() or 1) >= 4:
-        speedup = by_workers[4]["images_per_sec"] / by_workers[1]["images_per_sec"]
-        assert speedup >= 1.5, f"4-worker scaling only {speedup:.2f}x on a multicore host"
+    assert entry["speedup"] >= 1.0, f"fast pruning round slower than reference: {entry}"
 
 
 def test_emit_bench_engine_json():
@@ -370,17 +318,12 @@ def test_emit_bench_engine_json():
         "folded_inference_batch64",
         "full_pruning_round",
     }, "fast-path probes must run before the JSON is emitted"
-    assert _SCALING_SERIES, "the scaling probe must run before the JSON is emitted"
     os.makedirs(OUT_DIR, exist_ok=True)
     payload = {
         "bench": "engine_fastpath",
         "reference": f"{FAST_PATH_ENV}=1 (reference kernels, two-pass evaluator)",
         "host": _host_info(),
         "entries": _FASTPATH_RESULTS,
-        "scaling": {
-            "workload": "folded_inference_batch64 (compiled preact_resnet18)",
-            "series": _SCALING_SERIES,
-        },
     }
     path = os.path.join(OUT_DIR, "BENCH_engine.json")
     with open(path, "w") as handle:
@@ -388,5 +331,4 @@ def test_emit_bench_engine_json():
     with open(path) as handle:
         written = json.load(handle)
     assert set(written["entries"]) == set(_FASTPATH_RESULTS)
-    assert [s["workers"] for s in written["scaling"]["series"]] == [1, 2, 4]
     assert written["host"]["cpu_count"] == os.cpu_count()

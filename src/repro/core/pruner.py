@@ -123,7 +123,7 @@ class GradientPruner:
     use_fast_path:
         Evaluate the stopping rule through the fused conv–BN-folded
         inference path.  Scores (Eq. 3) run the engine-dispatched training
-        path (im2col-GEMM backward with column reuse) unless
+        path (im2col-GEMM forward and backward) unless
         ``REPRO_DISABLE_FAST_PATH=1``; both paths agree with the reference
         autograd within float32 tolerance.
     stopping:

@@ -24,17 +24,12 @@ slab's size is the maximum any of its tags ever requested.
 tags, or a request larger than recorded (e.g. an odd-sized tail batch) —
 fall back to a dynamic side arena, so a stale plan degrades to PR 2
 behavior rather than failing.
-
-``allocator`` abstracts where slab bytes live: the default is private
-``np.empty`` memory; the tiled engine passes a shared-memory allocator so
-planned slabs are visible to its worker processes by name.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -113,13 +108,6 @@ def plan_slabs(requests: List[SlabRequest]) -> MemoryPlan:
     return plan
 
 
-Allocator = Callable[[int], np.ndarray]
-
-
-def _default_allocator(nbytes: int) -> np.ndarray:
-    return np.empty(nbytes, dtype=np.uint8)
-
-
 class PlannedArena:
     """Workspace-compatible arena that compiles traces into static plans.
 
@@ -131,16 +119,14 @@ class PlannedArena:
     preallocated slabs.
     """
 
-    def __init__(self, allocator: Optional[Allocator] = None) -> None:
+    def __init__(self) -> None:
         from ..functional import Workspace  # deferred: functional imports engine
 
-        self._allocator = allocator or _default_allocator
         self._fallback = Workspace()
         self._plans: Dict[Hashable, MemoryPlan] = {}
         self._slabs: Dict[Hashable, List[np.ndarray]] = {}
         self._signature: Optional[Hashable] = None
         self._recording: Optional[List[Tuple[str, str, int]]] = None
-        _all_arenas.add(self)
 
     # ------------------------------------------------------------------
     # Trace lifecycle
@@ -156,7 +142,7 @@ class PlannedArena:
             plan = plan_slabs(_events_to_requests(self._recording))
             self._plans[self._signature] = plan
             self._slabs[self._signature] = [
-                self._allocator(size) for size in plan.slab_sizes
+                np.empty(size, dtype=np.uint8) for size in plan.slab_sizes
             ]
         self._signature = None
         self._recording = None
@@ -224,12 +210,3 @@ def _events_to_requests(events: List[Tuple[str, str, int]]) -> List[SlabRequest]
         requests.append(SlabRequest(tag, size, start, horizon))
     return requests
 
-
-# Every live arena, so the fork hook can wipe child copies in one sweep.
-_all_arenas: "weakref.WeakSet[PlannedArena]" = weakref.WeakSet()
-
-
-def clear_all_arenas() -> None:
-    """Drop every :class:`PlannedArena`'s buffers (used by the fork hook)."""
-    for arena in list(_all_arenas):
-        arena.clear()

@@ -1,88 +1,25 @@
-"""Persistent tile-worker pools for the tiled GEMM engine.
+"""Named shared-memory slabs.
 
-Two interchangeable backends execute a list of GEMM tiles:
-
-:class:`ProcessTilePool`
-    ``fork``-started worker processes fed through multiprocessing queues.
-    Operands and the output live in named ``multiprocessing.shared_memory``
-    slabs; a task carries only slab *references* (name, shape, dtype), and
-    each worker attaches once per slab name and computes its tile through a
-    buffer-protocol view — ``out[m0:m1, n0:n1] = a[m0:m1] @ b[:, n0:n1]``
-    plus the fused bias/ReLU epilogue — writing directly into the shared
-    output slab.  This sidesteps the GIL entirely and keeps per-task
-    traffic to a few hundred bytes.
-
-:class:`ThreadTilePool`
-    Plain daemon threads.  BLAS releases the GIL inside ``np.matmul`` and
-    numpy releases it in the epilogue ufunc loops, so threads scale for the
-    GEMM-dominated workload while avoiding shared-memory staging copies.
-    Used when ``fork`` is unavailable (or forced via
-    ``REPRO_ENGINE_BACKEND=thread``).
-
-Both pools are *persistent*: created lazily on the first multi-tile
-dispatch and reused across calls.  All teardown paths are pid-guarded so a
-forked child that inherits a pool object can never join threads it does not
-own or unlink shared memory its parent is still using.
+No GEMM path stages operands through shared memory: the engine runs every
+GEMM inline and BLAS owns intra-op parallelism.  :class:`SharedSlabs` is
+kept because ``perfbench/tracing.py`` patches :meth:`SharedSlabs._slab_for`
+to count shared-memory segment creations (the ``nn.engine.shm_created``
+metric, which now always reads 0).
 """
 
 from __future__ import annotations
 
-import atexit
-import os
-import queue
-import threading
-import traceback
 from multiprocessing import shared_memory
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict
 
-import numpy as np
-
-__all__ = [
-    "fork_available",
-    "SharedSlabs",
-    "ThreadTilePool",
-    "ProcessTilePool",
-]
-
-# (shm_name, shape, dtype_str) — how tasks reference a shared slab.
-SlabRef = Tuple[str, Tuple[int, ...], str]
-
-
-def fork_available() -> bool:
-    import multiprocessing
-
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def _disable_shm_tracking() -> None:
-    """Stop this worker's resource tracker from registering shared memory.
-
-    Workers only *attach* to slabs the parent owns, but Python <3.13
-    registers attached segments too (bpo-39959): an exiting worker would
-    unlink slabs the parent still uses, and unregister-after-attach races
-    other workers in the shared tracker process.  Patching ``register`` out
-    in the worker keeps the parent's register/unlink pairing exact.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.register = lambda *args, **kwargs: None
-    except Exception:
-        pass
+__all__ = ["SharedSlabs"]
 
 
 class SharedSlabs:
-    """Parent-side registry of named, growable shared-memory slabs.
-
-    ``stage`` copies an array into its tag's slab (reallocating a larger
-    slab under a fresh name when needed — workers cache attachments by
-    name, so names are never reused at a different size) and returns the
-    slab-backed view plus the reference to ship to workers.
-    """
+    """Registry of named, growable shared-memory slabs, one per tag."""
 
     def __init__(self) -> None:
         self._slabs: Dict[str, shared_memory.SharedMemory] = {}
-        self._pid = os.getpid()
 
     def _slab_for(self, tag: str, nbytes: int) -> shared_memory.SharedMemory:
         slab = self._slabs.get(tag)
@@ -93,212 +30,3 @@ class SharedSlabs:
             slab = shared_memory.SharedMemory(create=True, size=nbytes)
             self._slabs[tag] = slab
         return slab
-
-    def empty(self, tag: str, shape: Tuple[int, ...], dtype) -> Tuple[np.ndarray, SlabRef]:
-        dtype = np.dtype(dtype)
-        nbytes = int(np.prod(shape)) * dtype.itemsize
-        slab = self._slab_for(tag, nbytes)
-        view = np.ndarray(shape, dtype=dtype, buffer=slab.buf)
-        return view, (slab.name, tuple(shape), dtype.str)
-
-    def stage(self, tag: str, array: np.ndarray) -> Tuple[np.ndarray, SlabRef]:
-        view, ref = self.empty(tag, array.shape, array.dtype)
-        np.copyto(view, array)
-        return view, ref
-
-    def close(self) -> None:
-        if os.getpid() != self._pid:  # forked copy: slabs belong to the parent
-            self._slabs.clear()
-            return
-        for slab in self._slabs.values():
-            slab.close()
-            try:
-                slab.unlink()
-            except FileNotFoundError:
-                pass
-        self._slabs.clear()
-
-    @property
-    def nbytes(self) -> int:
-        return sum(slab.size for slab in self._slabs.values())
-
-
-class ThreadTilePool:
-    """Persistent daemon threads running submitted ``fn(*args)`` jobs."""
-
-    def __init__(self, workers: int) -> None:
-        self.workers = workers
-        self._tasks: "queue.SimpleQueue" = queue.SimpleQueue()
-        self._threads = [
-            threading.Thread(target=self._loop, daemon=True, name=f"repro-tile-{i}")
-            for i in range(workers)
-        ]
-        for thread in self._threads:
-            thread.start()
-
-    def _loop(self) -> None:
-        while True:
-            item = self._tasks.get()
-            if item is None:
-                return
-            fn, args, done = item
-            try:
-                fn(*args)
-                done.put(None)
-            except BaseException:
-                done.put(traceback.format_exc())
-
-    def run(self, fn: Callable, argtuples: Sequence[tuple]) -> None:
-        """Run every job; raises if any job failed."""
-        done: "queue.SimpleQueue" = queue.SimpleQueue()
-        for args in argtuples:
-            self._tasks.put((fn, args, done))
-        failures = [err for _ in argtuples if (err := done.get()) is not None]
-        if failures:
-            raise RuntimeError(f"tile worker failed:\n{failures[0]}")
-
-    def shutdown(self) -> None:
-        for _ in self._threads:
-            self._tasks.put(None)
-        for thread in self._threads:
-            thread.join(timeout=1.0)
-        self._threads = []
-
-
-# A process task is a tagged tuple.  Two kinds exist:
-#
-# ("mm", a_ref, b_ref, out_ref, m0, m1, n0, n1, bias_bytes | None, activation | None)
-#     Output-tiled ``a @ b``: each worker owns a disjoint (M, N) tile of the
-#     shared output slab.
-# ("tn", a_ref, b_ref, parts_ref, slot, r0, r1)
-#     Reduction-split ``a.T @ b``: each worker computes the partial product
-#     of its chunk of the shared reduction dimension R into its own slot of
-#     the (chunks, M, N) partials slab; the parent sums the slots.  Used by
-#     backward dW GEMMs whose output is too small to tile but whose
-#     reduction (N*L) is large.
-_Task = Tuple
-
-
-def _attach(ref: SlabRef, cache: Dict[str, shared_memory.SharedMemory]) -> np.ndarray:
-    name, shape, dtype = ref
-    shm = cache.get(name)
-    if shm is None:
-        shm = shared_memory.SharedMemory(name=name)
-        cache[name] = shm
-    return np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
-
-
-def _run_tile(task: _Task, cache: Dict[str, shared_memory.SharedMemory]) -> None:
-    kind = task[0]
-    if kind == "tn":
-        _, a_ref, b_ref, parts_ref, slot, r0, r1 = task
-        a = _attach(a_ref, cache)
-        b = _attach(b_ref, cache)
-        parts = _attach(parts_ref, cache)
-        np.matmul(a[r0:r1].T, b[r0:r1], out=parts[slot])
-        return
-    _, a_ref, b_ref, out_ref, m0, m1, n0, n1, bias_bytes, activation = task
-    a = _attach(a_ref, cache)
-    b = _attach(b_ref, cache)
-    out = _attach(out_ref, cache)
-    sub = out[m0:m1, n0:n1]
-    np.matmul(a[m0:m1], b[:, n0:n1], out=sub)
-    if bias_bytes is not None:
-        bias = np.frombuffer(bias_bytes, dtype=out.dtype)
-        sub += bias[n0:n1]
-    if activation == "relu":
-        np.maximum(sub, 0.0, out=sub)
-
-
-def _process_worker(task_q, done_q) -> None:
-    _disable_shm_tracking()
-    cache: Dict[str, shared_memory.SharedMemory] = {}
-    while True:
-        task = task_q.get()
-        if task is None:
-            break
-        try:
-            _run_tile(task, cache)
-            done_q.put(None)
-        except BaseException:
-            done_q.put(traceback.format_exc())
-    for shm in cache.values():
-        shm.close()
-
-
-class ProcessTilePool:
-    """Persistent fork-started workers computing tiles in shared memory."""
-
-    def __init__(self, workers: int, join_timeout: float = 60.0) -> None:
-        import multiprocessing
-
-        if not fork_available():
-            raise RuntimeError("ProcessTilePool requires the fork start method")
-        ctx = multiprocessing.get_context("fork")
-        self.workers = workers
-        self.join_timeout = join_timeout
-        self._pid = os.getpid()
-        self._task_q = ctx.Queue()
-        self._done_q = ctx.Queue()
-        self._procs = [
-            ctx.Process(
-                target=_process_worker,
-                args=(self._task_q, self._done_q),
-                daemon=True,
-                name=f"repro-tile-{i}",
-            )
-            for i in range(workers)
-        ]
-        for proc in self._procs:
-            proc.start()
-        atexit.register(self.shutdown)
-
-    def run(self, tasks: Sequence[_Task]) -> None:
-        """Dispatch tiles and block until all complete; raises on failure."""
-        for task in tasks:
-            self._task_q.put(task)
-        pending = len(tasks)
-        failures: List[str] = []
-        while pending:
-            try:
-                err = self._done_q.get(timeout=self.join_timeout)
-            except queue.Empty:
-                dead = [p.name for p in self._procs if not p.is_alive()]
-                raise RuntimeError(
-                    f"tile pool stalled waiting for {pending} tiles"
-                    + (f"; dead workers: {dead}" if dead else "")
-                ) from None
-            pending -= 1
-            if err is not None:
-                failures.append(err)
-        if failures:
-            raise RuntimeError(f"tile worker failed:\n{failures[0]}")
-
-    def alive(self) -> bool:
-        return bool(self._procs) and all(p.is_alive() for p in self._procs)
-
-    def shutdown(self) -> None:
-        if os.getpid() != self._pid:  # inherited by a forked child: not ours
-            self._procs = []
-            return
-        try:
-            atexit.unregister(self.shutdown)
-        except Exception:
-            pass
-        for _ in self._procs:
-            try:
-                self._task_q.put(None)
-            except (OSError, ValueError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=2.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1.0)
-        self._procs = []
-        for q in (self._task_q, self._done_q):
-            try:
-                q.close()
-                q.join_thread()
-            except Exception:
-                pass

@@ -17,30 +17,35 @@ checks, no fresh page-faulting allocations mid-step.  Tags are shared
 across layers (layer 3's ``grad2d`` closes layer 7's live range), so the
 plan packs the whole backward sweep into a handful of peak-sized slabs.
 
-The arena is a process-wide singleton registered with the planner's fork
-hook: orchestrator children inherit an empty arena, never a view of slabs
-the parent is writing.
+Like the arena stacks in :mod:`repro.nn.functional`, the planned arena and
+the nesting depth are per thread, so two threads training at once never
+share scratch slabs.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Hashable, Optional
+import threading
+from typing import Hashable
 
 from .planner import PlannedArena
 
 __all__ = ["train_step_arena", "training_step"]
 
-_TRAIN_ARENA: Optional[PlannedArena] = None
-_STEP_DEPTH = 0
+
+class _StepState(threading.local):
+    arena = None
+    depth = 0
+
+
+_STATE = _StepState()
 
 
 def train_step_arena() -> PlannedArena:
-    """The process-wide planned arena used by :func:`training_step`."""
-    global _TRAIN_ARENA
-    if _TRAIN_ARENA is None:
-        _TRAIN_ARENA = PlannedArena()
-    return _TRAIN_ARENA
+    """This thread's planned arena used by :func:`training_step`."""
+    if _STATE.arena is None:
+        _STATE.arena = PlannedArena()
+    return _STATE.arena
 
 
 @contextlib.contextmanager
@@ -57,16 +62,15 @@ def training_step(signature: Hashable):
     """
     from ..functional import fast_path_enabled, use_train_arena
 
-    global _STEP_DEPTH
-    if _STEP_DEPTH or not fast_path_enabled():
+    if _STATE.depth or not fast_path_enabled():
         yield
         return
     arena = train_step_arena()
     arena.begin(signature)
-    _STEP_DEPTH += 1
+    _STATE.depth += 1
     try:
         with use_train_arena(arena):
             yield
     finally:
-        _STEP_DEPTH -= 1
+        _STATE.depth -= 1
         arena.end()

@@ -15,10 +15,9 @@ path: the im2col unfold is written into a reused, shape-keyed
 BLAS GEMM replaces N small batched matmuls.  Reusing buffers avoids the
 page-fault cost of freshly mmap'd allocations, which on this engine is
 larger than the GEMM themselves for early layers.  The GEMM itself runs
-through :mod:`repro.nn.engine` — cache-blocked (M, N) tiles on a persistent
-multicore worker pool, with the conv bias (post-folding: the BN affine) and
-an optionally fused ReLU applied inside each tile — and degrades to the
-single inline BLAS call when one worker is configured.  Set
+through :mod:`repro.nn.engine` as one inline BLAS call, with the conv bias
+(post-folding: the BN affine) and an optionally fused ReLU applied in place
+on its output; BLAS owns the intra-op parallelism.  Set
 ``REPRO_DISABLE_FAST_PATH=1`` to force the reference path (useful for
 bisecting regressions between kernel and orchestration layers).
 """
@@ -27,10 +26,12 @@ from __future__ import annotations
 
 import contextlib
 import os
+import threading
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from .engine.gemm import engine as _engine
 from .tensor import Tensor, is_grad_enabled
 
 __all__ = [
@@ -87,8 +88,8 @@ class Workspace:
     before the op returns — results that escape an op are always freshly
     allocated.  Two concurrent ``get``s of the same tag alias each other.
 
-    Not thread-safe; the engine is single-threaded by design (BLAS provides
-    the parallelism).
+    Not thread-safe: each thread gets its own default arenas (see
+    :func:`workspace`), and BLAS provides the intra-op parallelism.
     """
 
     def __init__(self) -> None:
@@ -122,98 +123,83 @@ class Workspace:
         return sum(slab.nbytes for slab in self._slabs.values())
 
 
-_WORKSPACE = Workspace()
+class _ArenaState(threading.local):
+    """Per-thread default arenas and arena stacks.
+
+    A compiled forward in one thread (a serving gateway's drain loop) and a
+    trace or warm-up in another (preparing a hot-swap replacement) must
+    never hand each other scratch views, so every thread starts from its
+    own default :class:`Workspace` pair and its own stacks.
+    """
+
+    def __init__(self) -> None:
+        self.workspace = Workspace()
+        self.stack: List[Workspace] = []
+        # Training-side scratch is kept separate from the inference arena
+        # stack: a training step's backward temporaries (flattened upstream
+        # gradients, packed weights, col2im scatter scratch) are alive while
+        # inference-style no-grad evaluations may interleave (e.g. the
+        # pruning loop scores with gradients, then evaluates the compiled
+        # model), and the two must never alias.
+        self.train_workspace = Workspace()
+        self.train_stack: List[Workspace] = []
+
+
+_ARENAS = _ArenaState()
 
 
 def workspace() -> Workspace:
-    """The process-wide workspace arena used by the inference fast path."""
-    return _WORKSPACE
-
-
-_ARENA_STACK: List[Workspace] = []
+    """This thread's default workspace arena for the inference fast path."""
+    return _ARENAS.workspace
 
 
 def current_arena() -> Workspace:
     """The arena fast-path kernels should allocate from.
 
-    Defaults to the process-wide :func:`workspace`; a compiled model pushes
+    Defaults to this thread's :func:`workspace`; a compiled model pushes
     its own planned arena for the duration of each forward via
     :func:`use_arena`.
     """
-    return _ARENA_STACK[-1] if _ARENA_STACK else _WORKSPACE
+    stack = _ARENAS.stack
+    return stack[-1] if stack else _ARENAS.workspace
 
 
 @contextlib.contextmanager
 def use_arena(arena):
-    """Route fast-path scratch allocations to ``arena`` inside the block."""
-    _ARENA_STACK.append(arena)
+    """Route this thread's fast-path scratch allocations to ``arena``."""
+    stack = _ARENAS.stack
+    stack.append(arena)
     try:
         yield arena
     finally:
-        _ARENA_STACK.pop()
-
-
-# Training-side scratch is kept separate from the inference arena stack: a
-# training step's backward temporaries (flattened upstream gradients, packed
-# weights, col2im scatter scratch) are alive while inference-style no-grad
-# evaluations may interleave (e.g. the pruning loop scores with gradients,
-# then evaluates the compiled model), and the two must never alias.
-_TRAIN_WORKSPACE = Workspace()
-
-_TRAIN_ARENA_STACK: List[Workspace] = []
+        stack.pop()
 
 
 def train_workspace() -> Workspace:
-    """The process-wide arena used by the training fast path's temporaries."""
-    return _TRAIN_WORKSPACE
+    """This thread's default arena for the training fast path's temporaries."""
+    return _ARENAS.train_workspace
 
 
 def current_train_arena() -> Workspace:
     """The arena training-path kernels should allocate scratch from.
 
-    Defaults to the process-wide :func:`train_workspace`; hot loops push a
+    Defaults to this thread's :func:`train_workspace`; hot loops push a
     planned arena for the duration of each forward+backward pass via
     :func:`use_train_arena` (see :func:`repro.nn.engine.training_step`).
     """
-    return _TRAIN_ARENA_STACK[-1] if _TRAIN_ARENA_STACK else _TRAIN_WORKSPACE
+    stack = _ARENAS.train_stack
+    return stack[-1] if stack else _ARENAS.train_workspace
 
 
 @contextlib.contextmanager
 def use_train_arena(arena):
-    """Route training-path scratch allocations to ``arena`` inside the block."""
-    _TRAIN_ARENA_STACK.append(arena)
+    """Route this thread's training-path scratch allocations to ``arena``."""
+    stack = _ARENAS.train_stack
+    stack.append(arena)
     try:
         yield arena
     finally:
-        _TRAIN_ARENA_STACK.pop()
-
-
-def _after_fork_in_child() -> None:
-    """Reset fast-path state inherited over ``fork``.
-
-    Orchestrator (and tile-pool) children must never serve views of a slab
-    the parent is concurrently writing, and must never talk to worker pools
-    they do not own: drop every arena buffer and forget — without tearing
-    down — the engine singleton's inherited pool handles.
-    """
-    _WORKSPACE.clear()
-    del _ARENA_STACK[:]
-    _TRAIN_WORKSPACE.clear()
-    del _TRAIN_ARENA_STACK[:]
-    import sys
-
-    if "repro.nn.engine.gemm" in sys.modules:
-        from .engine.gemm import reset_engine
-
-        reset_engine(in_child=True)
-    if "repro.nn.engine.planner" in sys.modules:
-        from .engine.planner import clear_all_arenas
-
-        clear_all_arenas()
-
-
-if hasattr(os, "register_at_fork"):  # pragma: no branch
-    os.register_at_fork(after_in_child=_after_fork_in_child)
+        stack.pop()
 
 
 def _pair(value: IntPair) -> Tuple[int, int]:
@@ -328,7 +314,6 @@ def _im2col_gemm(
     stride: Tuple[int, int],
     padding: Tuple[int, int],
     arena: Workspace,
-    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Unfold ``x`` directly in single-GEMM layout ``(N*L, kh*kw*C)``.
 
@@ -340,10 +325,6 @@ def _im2col_gemm(
     the padded image, instead of sweeping the whole batch per kernel tap.
     ``x`` itself may be in any storage order (the fast path hands conv
     outputs around as channels-last views, making the transpose here free).
-
-    ``out`` overrides the destination (the training path unfolds into fresh
-    memory so the columns can survive into the backward closure, where the
-    dW GEMM reuses them); the padded image still comes from ``arena``.
     """
     n, c, h, w = x.shape
     kh, kw = kernel
@@ -369,9 +350,7 @@ def _im2col_gemm(
         strides=(s[0], s[1] * sh, s[2] * sw, s[1], s[2], s[3]),
         writeable=False,
     )
-    buf = out if out is not None else arena.get(
-        "cols_gemm", (n * out_h * out_w, kh * kw * c), x.dtype
-    )
+    buf = arena.get("cols_gemm", (n * out_h * out_w, kh * kw * c), x.dtype)
     np.copyto(buf.reshape(n, out_h, out_w, kh, kw, c), view)
     arena.release("pad")  # the unfold was the padded image's last reader
     return buf
@@ -464,7 +443,7 @@ def _conv2d_infer(
     out_w: int,
     activation: Optional[str] = None,
 ) -> np.ndarray:
-    """No-grad conv forward: arena-backed unfold + one tiled GEMM.
+    """No-grad conv forward: arena-backed unfold + one GEMM.
 
     The GEMM computes ``(N*L, K) @ (K, C_out)`` and its result is *kept* in
     channels-last (NHWC) storage: the returned array is a logically-``(N,
@@ -476,11 +455,8 @@ def _conv2d_infer(
     input, unfolded columns, transposed weights) live in the active arena;
     only the GEMM result, which escapes into the caller's graph, is freshly
     allocated.  The GEMM plus its bias/``activation`` epilogue runs through
-    the tiled multicore engine (:mod:`repro.nn.engine`), which degrades to
-    the same single inline BLAS call when one worker is configured.
+    the engine (:mod:`repro.nn.engine`).
     """
-    from .engine.gemm import engine as _engine
-
     arena = current_arena()
     n, c_in = x.shape[0], x.shape[1]
     c_out, c_in_per_group, kh, kw = weight.shape
@@ -537,20 +513,20 @@ def _conv2d_train(
     out_h: int,
     out_w: int,
 ) -> Tensor:
-    """Gradient-path conv forward+backward on the tiled GEMM engine.
+    """Gradient-path conv forward+backward on the GEMM engine.
 
     The forward is the same single-GEMM channels-last formulation as
-    :func:`_conv2d_infer`, except the unfolded columns are written to fresh
-    memory and *captured by the backward closure*: the dW GEMM consumes them
-    directly instead of re-materializing the unfold.  Backward issues three
-    engine GEMMs —
+    :func:`_conv2d_infer`.  The unfolded columns are *not* kept for the
+    backward pass: they are ``kh*kw`` times the size of the input, and
+    holding one copy per conv layer until backward dominated the peak
+    memory of a training step (~200 MB of a ~500 MB peak for a batch-32
+    quick-profile PreactResNet-18 pair of forwards), while re-unfolding
+    ``x`` into a recycled arena buffer costs no measurable step time.
+    Backward issues —
 
-    - ``dW(K, C_out) = cols.T @ grad2d`` via the reduction-split
-      ``execute_tn`` dispatch (the output is too small to tile; parallelism
-      comes from chunking the shared ``N*L`` reduction into per-worker
-      partial sums);
-    - ``grad_cols(N*L, K) = grad2d @ W_packedᵀ`` via the output-tiled
-      ``execute``;
+    - ``dW(K, C_out) = cols.T @ grad2d`` via ``execute_tn``, on columns
+      re-unfolded from ``x`` (a free view for 1×1/stride-1/pad-0 convs);
+    - ``grad_cols(N*L, K) = grad2d @ W_packedᵀ`` via ``execute``;
     - the channels-last col2im scatter folding ``grad_cols`` into dX.
 
     All backward temporaries (the flattened upstream gradient, packed
@@ -558,11 +534,11 @@ def _conv2d_train(
     (:func:`current_train_arena`) — everything accumulated into ``.grad``
     is either copied or added by ``Tensor._accumulate`` before the arena
     recycles, and the tape walk is serial, so tags can be reused across
-    layers.  Only ``cols`` and the forward GEMM output, which outlive the
-    op, are fresh allocations.
+    layers.  Only the forward GEMM output, which outlives the op, is a
+    fresh allocation.  Like the 1×1 view, the re-unfold relies on
+    activations never being mutated in place between forward and
+    backward.
     """
-    from .engine.gemm import engine as _engine
-
     arena = current_train_arena()
     n, c_in, h, w = x.shape
     c_out, _, kh, kw = weight.shape
@@ -570,15 +546,15 @@ def _conv2d_train(
     k_flat = c_in * kh * kw
     dtype = x.data.dtype
 
-    if kh == 1 and kw == 1 and padding == (0, 0):
+    pointwise = kh == 1 and kw == 1 and padding == (0, 0)
+    if pointwise:
         xs = x.data if stride == (1, 1) else x.data[:, :, :: stride[0], :: stride[1]]
         # A contiguous channels-last input makes this reshape a view of
         # x.data; activations are never mutated in place between forward and
         # backward, so capturing the view is as safe as the reference path's.
         cols = xs.transpose(0, 2, 3, 1).reshape(n * length, c_in)
     else:
-        cols = np.empty((n * length, k_flat), dtype=dtype)
-        _im2col_gemm(x.data, (kh, kw), stride, padding, arena, out=cols)
+        cols = _im2col_gemm(x.data, (kh, kw), stride, padding, arena)
 
     # (C_out, C, kh, kw) -> (kh, kw, C, C_out): the unfold's patch-major order.
     wt = weight.data.transpose(2, 3, 1, 0)
@@ -589,7 +565,10 @@ def _conv2d_train(
         np.copyto(w_mat.reshape(kh, kw, c_in, c_out), wt)
     bias_data = None if bias is None else bias.data
     out2d = _engine().execute(cols, w_mat, bias=bias_data)
+    arena.release("cols_gemm")
     arena.release("wmat")
+    if not pointwise:
+        cols = None  # an arena view: re-unfolded in backward instead
     # Materialize contiguous NCHW: training-mode consumers (BatchNorm batch
     # statistics, ReLU masks, residual adds) reduce over this output many
     # times, and feeding them the NHWC-storage transpose view makes every
@@ -609,7 +588,12 @@ def _conv2d_train(
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad2d.sum(axis=0))
         if weight.requires_grad:
-            dw = eng.execute_tn(cols, grad2d, out=bwd_arena.get("dw", (k_flat, c_out), dtype))
+            cols_bwd = (
+                cols if pointwise
+                else _im2col_gemm(x.data, (kh, kw), stride, padding, bwd_arena)
+            )
+            dw = eng.execute_tn(cols_bwd, grad2d, out=bwd_arena.get("dw", (k_flat, c_out), dtype))
+            bwd_arena.release("cols_gemm")
             weight._accumulate(dw.reshape(kh, kw, c_in, c_out).transpose(3, 2, 0, 1))
             bwd_arena.release("dw")
         if x.requires_grad:
@@ -656,8 +640,8 @@ def conv2d(
         Channel groups; ``groups == C_in`` with ``C_out == C_in`` gives a
         depthwise convolution.
     activation:
-        Optional epilogue activation (``"relu"``) fused into the GEMM tile
-        loop.  Inference-only: set by :class:`repro.nn.inference
+        Optional epilogue activation (``"relu"``) fused into the GEMM
+        epilogue.  Inference-only: set by :class:`repro.nn.inference
         .CompiledInference` for traced conv→BN→ReLU chains; requesting it
         on a gradient-requiring call is an error (no backward is recorded
         for the fused activation).
@@ -704,7 +688,7 @@ def conv2d(
 
     if needs_grad and groups == 1 and fast_path_enabled():
         # Training fast path: engine-dispatched forward and backward GEMMs
-        # with column reuse.  Grouped convs stay on the einsum reference
+        # on arena-backed unfolds.  Grouped convs stay on the einsum reference
         # path (same split as _conv2d_infer); REPRO_DISABLE_FAST_PATH=1
         # forces the reference kernels below.
         return _conv2d_train(x, weight, bias, stride, padding, out_h, out_w)
@@ -835,10 +819,7 @@ def conv_transpose2d(
                 x._accumulate(grad_x.reshape(n, c_in, h, w))
             return
         # Engine path: both backward products collapse the batch into one
-        # GEMM over (N*L) rows — dW through the reduction-split dispatch,
-        # dX through the output-tiled one.
-        from .engine.gemm import engine as _engine
-
+        # GEMM over (N*L) rows — dW through execute_tn, dX through execute.
         eng = _engine()
         arena = current_train_arena()
         cols_rows = arena.get("grad2d", (n * length, k_flat), grad_cols.dtype)
@@ -876,11 +857,10 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
     ``weight`` is ``(out_features, in_features)`` (the torch layout).  The
     2-D case — every classifier head in the model zoo — runs both the
-    forward product and its backward pair (dW via the reduction-split
-    ``execute_tn``, dX via the output-tiled ``execute``) through the tiled
-    GEMM engine; most heads are small enough that the engine degrades to
-    the same inline BLAS calls the reference composition issues, so the
-    dispatch costs nothing on 1 core.  Non-2-D inputs and
+    forward product and its backward pair (dW via ``execute_tn``, dX via
+    ``execute``) through the GEMM engine: the same inline BLAS calls the
+    reference composition issues, minus its tape bookkeeping.  Non-2-D
+    inputs and
     ``REPRO_DISABLE_FAST_PATH=1`` fall back to composing
     :meth:`Tensor.matmul` + add.
     """
@@ -889,8 +869,6 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         if bias is not None:
             out = out + bias
         return out
-
-    from .engine.gemm import engine as _engine
 
     out = _engine().execute(
         x.data, weight.data.T, bias=None if bias is None else bias.data
@@ -901,7 +879,7 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=0))
         if weight.requires_grad:
-            # dW(out, in) = grad.T @ x — exactly the reduction-split shape.
+            # dW(out, in) = grad.T @ x — the execute_tn shape.
             weight._accumulate(eng.execute_tn(grad, x.data))
         if x.requires_grad:
             x._accumulate(eng.execute(grad, weight.data))

@@ -3,9 +3,9 @@
 Single-image requests are the natural unit for callers, but the worst
 possible unit for the numpy substrate: a batch-1 forward pays the full
 Python/layer dispatch overhead per image and leaves the im2col GEMM too
-small to tile.  The :class:`MicroBatcher` turns an open stream of requests
-into batches the fast path was built for, with the classic two-trigger
-flush rule:
+small to keep BLAS busy.  The :class:`MicroBatcher` turns an open stream of
+requests into batches the fast path was built for, with the classic
+two-trigger flush rule:
 
 - **size**: a batch closes the moment ``max_batch`` requests are pending;
 - **deadline**: otherwise it closes when the *oldest* pending request has

@@ -12,7 +12,7 @@ into that deployable form:
   it serves a single request;
 - requests stream through a :class:`~repro.serving.batcher.MicroBatcher`,
   so single-image callers ride the batched channels-last single-GEMM path
-  and the tiled engine instead of the batch-1 slow path;
+  instead of the batch-1 slow path;
 - an optional **STRIP pre-filter** (Gao et al., 2019) shares the same
   micro-batches: each batch is blended against a clean pool and scored in
   one stacked forward (:func:`~repro.synthesis.strip.strip_entropy_scores`),
@@ -45,7 +45,6 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from ..data.dataset import ImageDataset
-from ..nn.engine import engine
 from ..nn.inference import CompiledInference
 from ..nn.tensor import Tensor
 from ..synthesis.strip import strip_entropy_scores
@@ -249,11 +248,11 @@ class ServingGateway:
         """Load + fold + warm + (optionally) calibrate, off the request path."""
         registered = self.registry.load(key)
         example = self._example_input(registered.manifest)
+        # No model lock needed: grad mode and scratch arenas are per-thread,
+        # so tracing and warming the new model cannot disturb the drain
+        # thread's forward of the old one.
         compiled = CompiledInference(registered.model, Tensor(example[:1]))
-        # Warm under the model lock: the drain thread may be mid-batch on
-        # the old model, and the tiled engine serializes per thread.
-        with self._model_lock:
-            compiled.warmup(Tensor(example))
+        compiled.warmup(Tensor(example))
         threshold = None
         if self.config.strip:
             threshold = self._calibrate_strip(compiled)
@@ -286,10 +285,7 @@ class ServingGateway:
         """
         pool = self.clean_pool.images
         overlay_idx = self._rng.integers(0, len(pool), size=self.config.strip_overlays)
-        with self._model_lock:
-            scores = strip_entropy_scores(
-                compiled, pool, pool, overlay_idx, self.config.strip_alpha
-            )
+        scores = strip_entropy_scores(compiled, pool, pool, overlay_idx, self.config.strip_alpha)
         return float(np.quantile(scores, self.config.strip_fpr))
 
     # ------------------------------------------------------------------
@@ -352,7 +348,6 @@ class ServingGateway:
             "uptime_s": uptime,
             "throughput_per_s": (self._served / uptime) if uptime > 0 else 0.0,
             "latency_ms": latency_summary(list(self._latencies)),
-            "engine_totals": dict(engine().totals),
         }
         if self._batcher is not None:
             payload["batcher"] = self._batcher.stats()

@@ -48,6 +48,22 @@ def runner(tmp_path):
     )
 
 
+@pytest.fixture(scope="session")
+def scenario(tmp_path_factory):
+    """``tiny_config()`` trained once and shared by the read-only tests.
+
+    Training the backdoored scenario dominates this module's run time, so
+    tests that only read the scenario share this one; tests that exercise
+    the cache itself build their own.
+    """
+    cache_dir = tmp_path_factory.mktemp("shared_scenario")
+    return BenchmarkRunner(
+        cache=ScenarioCache(str(cache_dir / "cache")),
+        trial_cache=TrialCache(str(cache_dir / "trials")),
+        verbose=False,
+    ).prepare(tiny_config())
+
+
 class TestScenarioConfig:
     def test_fingerprint_stable(self):
         assert tiny_config().fingerprint() == tiny_config().fingerprint()
@@ -57,8 +73,7 @@ class TestScenarioConfig:
 
 
 class TestScenarioPreparation:
-    def test_prepare_trains_backdoored_model(self, runner):
-        scenario = runner.prepare(tiny_config())
+    def test_prepare_trains_backdoored_model(self, scenario):
         assert scenario.baseline.asr > 0.5  # backdoor embedded
         assert len(scenario.test_set) == 80
         assert len(scenario.reservoir) == 160
@@ -73,12 +88,11 @@ class TestScenarioPreparation:
         for key in a:
             assert np.array_equal(a[key], b[key])
 
-    def test_reservoir_disjoint_from_train_effects(self, runner):
+    def test_reservoir_disjoint_from_train_effects(self, scenario):
         # Reservoir comes from the same distribution (same prototypes), so a
         # model trained on train-split classifies reservoir well.
         from repro.training import evaluate_accuracy
 
-        scenario = runner.prepare(tiny_config())
         acc = evaluate_accuracy(scenario.backdoored_model, scenario.reservoir)
         assert acc > 0.3  # well above 4-class chance for this quick 3-epoch model
 
@@ -88,20 +102,18 @@ class TestScenarioPreparation:
 
 
 class TestDefenseTrials:
-    def test_single_trial(self, runner):
+    def test_single_trial(self, runner, scenario):
         from repro.eval import DefenderBudget
 
-        scenario = runner.prepare(tiny_config())
         result = runner.run_defense_trial(
             scenario, "clp", DefenderBudget(spc=4, trial=0, seed=1)
         )
         assert isinstance(result.metrics, BackdoorMetrics)
         assert result.defense == "clp"
 
-    def test_trial_does_not_mutate_scenario_model(self, runner):
+    def test_trial_does_not_mutate_scenario_model(self, runner, scenario):
         from repro.eval import DefenderBudget
 
-        scenario = runner.prepare(tiny_config())
         before = {k: v.copy() for k, v in scenario.backdoored_model.state_dict().items()}
         runner.run_defense_trial(scenario, "ft", DefenderBudget(spc=4, trial=0, seed=1),
                                  defense_kwargs={"epochs": 2})
@@ -109,8 +121,7 @@ class TestDefenseTrials:
         for key in before:
             assert np.array_equal(before[key], after[key])
 
-    def test_run_cell_aggregates(self, runner):
-        scenario = runner.prepare(tiny_config())
+    def test_run_cell_aggregates(self, runner, scenario):
         agg = runner.run_cell(scenario, "clp", spc=4, num_trials=2)
         assert agg.num_trials == 2
         assert 0 <= agg.acc_mean <= 1

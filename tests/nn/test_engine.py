@@ -1,17 +1,19 @@
-"""Tests for the tiled GEMM execution engine (repro.nn.engine).
+"""Tests for the GEMM execution layer (repro.nn.engine).
 
-Covers the tiler, the static memory planner, both pool backends (the
-2-worker smoke tests double as the CI guarantee that a tiled dispatch
-completes quickly), epilogue fusion plumbing, and the fork hygiene hook.
+Covers the static memory planner, the inline GEMM with its fused
+bias/ReLU epilogue, epilogue fusion plumbing, and the guarantee that no
+GEMM path starts a process or creates a shared-memory segment.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
+from repro.models import build_model
 from repro.nn import (
     BatchNorm2d,
     Conv2d,
@@ -23,73 +25,10 @@ from repro.nn import (
     no_grad,
 )
 from repro.nn import functional as F
-from repro.nn.engine import (
-    BACKEND_ENV,
-    TILE_ENV,
-    WORKERS_ENV,
-    PlannedArena,
-    SlabRequest,
-    ThreadTilePool,
-    engine,
-    fork_available,
-    plan_slabs,
-    reset_engine,
-    resolve_backend,
-    resolve_workers,
-    tile_grid,
-)
-from repro.nn.engine import gemm as gemm_mod
-from repro.nn.engine.tiler import choose_tile_shape
+from repro.nn.engine import PlannedArena, SlabRequest, engine, plan_slabs
+from repro.nn.losses import cross_entropy
 
 RNG = np.random.default_rng(0)
-
-
-@pytest.fixture(autouse=True)
-def _engine_env(monkeypatch):
-    """Isolate engine env knobs and always tear the pool down after a test."""
-    for env in (WORKERS_ENV, BACKEND_ENV, TILE_ENV):
-        monkeypatch.delenv(env, raising=False)
-    yield monkeypatch
-    reset_engine()
-
-
-def _force_tiling(monkeypatch, workers="2", backend="thread", tile="64"):
-    monkeypatch.setenv(WORKERS_ENV, workers)
-    monkeypatch.setenv(BACKEND_ENV, backend)
-    monkeypatch.setenv(TILE_ENV, tile)
-    monkeypatch.setattr(gemm_mod, "MIN_PARALLEL_FLOPS", 0)
-
-
-# ---------------------------------------------------------------------------
-# Tiler
-# ---------------------------------------------------------------------------
-class TestTiler:
-    def test_grid_partitions_output_exactly(self):
-        tiles = tile_grid(100, 70, 32, 40)
-        covered = np.zeros((100, 70), dtype=int)
-        for m0, m1, n0, n1 in tiles:
-            covered[m0:m1, n0:n1] += 1
-        assert (covered == 1).all()
-
-    def test_env_override_forces_shape(self, monkeypatch):
-        monkeypatch.setenv(TILE_ENV, "32x16")
-        assert choose_tile_shape(1000, 64, 128, 4, workers=4) == (32, 16)
-        monkeypatch.setenv(TILE_ENV, "48")
-        assert choose_tile_shape(1000, 64, 128, 4, workers=4) == (48, 64)
-
-    def test_env_override_clamped_to_matrix(self, monkeypatch):
-        monkeypatch.setenv(TILE_ENV, "4096x4096")
-        assert choose_tile_shape(100, 30, 128, 4, workers=4) == (100, 30)
-
-    def test_bad_override_raises(self, monkeypatch):
-        monkeypatch.setenv(TILE_ENV, "banana")
-        with pytest.raises(ValueError):
-            choose_tile_shape(100, 30, 128, 4, workers=2)
-
-    def test_heuristic_exposes_enough_tiles_for_workers(self):
-        tile_m, tile_n = choose_tile_shape(65536, 64, 576, 4, workers=4)
-        tiles = tile_grid(65536, 64, tile_m, tile_n)
-        assert len(tiles) >= 8  # at least ~2 per worker
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +102,7 @@ class TestPlanner:
 
 
 # ---------------------------------------------------------------------------
-# Pools + engine dispatch (smoke: a 2-worker tiled GEMM completes fast)
+# Engine execute
 # ---------------------------------------------------------------------------
 def _gemm_case(m=512, k=96, n=80, seed=1):
     rng = np.random.default_rng(seed)
@@ -184,51 +123,6 @@ class TestEngineExecute:
         a, b, _ = _gemm_case(m=8, k=4, n=4)
         with pytest.raises(ValueError):
             engine().execute(a, b, activation="gelu")
-
-    def test_two_worker_thread_smoke(self, monkeypatch):
-        _force_tiling(monkeypatch, backend="thread")
-        a, b, bias = _gemm_case()
-        expected = np.maximum(a @ b + bias, 0.0)
-        got = engine().execute(a, b, bias=bias, activation="relu")
-        np.testing.assert_allclose(got, expected, rtol=1e-4, atol=1e-5)
-        assert engine().last["backend"] == "thread"
-        assert engine().last["workers"] == 2
-        assert engine().last["tiles"] > 1
-
-    @pytest.mark.skipif(not fork_available(), reason="fork start method unavailable")
-    def test_two_worker_process_smoke(self, monkeypatch):
-        _force_tiling(monkeypatch, backend="process")
-        a, b, bias = _gemm_case()
-        expected = np.maximum(a @ b + bias, 0.0)
-        got = engine().execute(a, b, bias=bias, activation="relu")
-        np.testing.assert_allclose(got, expected, rtol=1e-4, atol=1e-5)
-        assert engine().last["backend"] == "process"
-        # Pool persists and serves a second, differently-shaped call.
-        a2, b2, bias2 = _gemm_case(m=300, k=64, n=32, seed=9)
-        got2 = engine().execute(a2, b2, bias=bias2)
-        np.testing.assert_allclose(got2, a2 @ b2 + bias2, rtol=1e-4, atol=1e-5)
-
-    def test_thread_pool_propagates_worker_errors(self):
-        pool = ThreadTilePool(2)
-        try:
-            with pytest.raises(RuntimeError, match="tile worker failed"):
-                pool.run(lambda: 1 / 0, [()])
-        finally:
-            pool.shutdown()
-
-    def test_workers_env_resolution(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "3")
-        assert resolve_workers() == 3
-        monkeypatch.setenv(WORKERS_ENV, "not-a-number")
-        with pytest.raises(ValueError):
-            resolve_workers()
-
-    def test_backend_env_resolution(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "thread")
-        assert resolve_backend() == "thread"
-        monkeypatch.setenv(BACKEND_ENV, "nonsense")
-        with pytest.raises(ValueError):
-            resolve_backend()
 
 
 # ---------------------------------------------------------------------------
@@ -336,46 +230,35 @@ class TestFusedActivation:
 
 
 # ---------------------------------------------------------------------------
-# Fork hygiene
+# No GEMM path starts a process or creates shared memory
 # ---------------------------------------------------------------------------
-class TestForkHook:
-    def test_child_hook_clears_arenas_and_engine(self, monkeypatch):
-        _force_tiling(monkeypatch, backend="thread")
-        a, b, bias = _gemm_case()
-        engine().execute(a, b, bias=bias)
-        assert gemm_mod._ENGINE is not None
-        F.workspace().get("pad", (16,), np.float32)
-        assert len(F.workspace()) > 0
+def _shm_entries():
+    try:
+        return set(os.listdir("/dev/shm"))
+    except OSError:  # no /dev/shm on this platform: nothing to leak into
+        return set()
 
-        arena = PlannedArena()
-        arena.begin("sig")
-        arena.get("pad", (16,), np.float32)
-        arena.end()
-        assert arena.plan_for("sig") is not None
 
-        F._after_fork_in_child()
+class TestNoProcesses:
+    def test_gemm_paths_start_no_process_and_no_shm(self):
+        children_before = {p.pid for p in multiprocessing.active_children()}
+        shm_before = _shm_entries()
 
-        assert len(F.workspace()) == 0
-        assert arena.plan_for("sig") is None
-        assert gemm_mod._ENGINE is None
+        model = build_model("preact_resnet18", num_classes=4, seed=0)
+        model.eval()
+        x = RNG.uniform(0, 1, (16, 3, 32, 32)).astype(np.float32)
+        compiled = compile_for_inference(model, Tensor(x[:1]))
+        compiled(Tensor(x))  # folded batch forward
 
-    @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no register_at_fork")
-    def test_forked_child_sees_empty_workspace(self):
-        import multiprocessing
+        conv = Conv2d(3, 16, 3, padding=1, rng=np.random.default_rng(1))
+        out = conv(Tensor(x, requires_grad=True))  # conv train step
+        (out * out).mean().backward()
 
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("fork start method unavailable")
-        ctx = multiprocessing.get_context("fork")
-        F.workspace().get("pad", (1024,), np.float32)
-        assert len(F.workspace()) > 0
-        queue = ctx.SimpleQueue()
+        head = Linear(32, 4, rng=np.random.default_rng(2))
+        feats = Tensor(RNG.standard_normal((16, 32)).astype(np.float32), requires_grad=True)
+        cross_entropy(head(feats), np.arange(16) % 4).backward()  # linear backward
 
-        def child(q):
-            q.put(len(F.workspace()))
-
-        proc = ctx.Process(target=child, args=(queue,))
-        proc.start()
-        proc.join(timeout=30)
-        assert queue.get() == 0
-        # The parent's arena is untouched by the child's hook.
-        assert len(F.workspace()) > 0
+        assert conv.weight.grad is not None and head.weight.grad is not None
+        children_after = {p.pid for p in multiprocessing.active_children()}
+        assert children_after - children_before == set()
+        assert _shm_entries() - shm_before == set()
